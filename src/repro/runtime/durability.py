@@ -12,10 +12,11 @@ views.  Three pieces:
   :class:`~repro.runtime.events.EventBatch` *column-packed* (the batch is
   already struct-of-arrays: int64/float64 columns write as packed arrays,
   string columns as length-prefixed UTF-8, anything else pickles), so the
-  log layout mirrors the runtime layout.  Frames append to segment files
-  (``wal-<first_lsn>.log``) rotated at a size threshold; the fsync policy
-  (``"always"`` / ``"batch"`` / ``"none"``) trades durability latency for
-  throughput; a torn tail — the partial frame a crash leaves behind — is
+  log layout mirrors the runtime layout.  Frames are written at append
+  to segment files (``wal-<first_lsn>.log``) rotated at a size
+  threshold, so they survive a process crash; the fsync policy
+  (``"always"`` / ``"batch"`` / ``"none"``) trades power-loss exposure
+  for throughput; a torn tail — the partial frame a crash leaves behind — is
   detected by CRC on open and truncated away.
 
 * :class:`SnapshotStore` — whole-engine snapshots
@@ -24,10 +25,11 @@ views.  Three pieces:
   (:meth:`DurableEngine.snapshot`) or every N events.  Invalid or torn
   snapshots are skipped at load time, falling back to the previous one.
 
-* **recovery** (:func:`recover_engine`, :meth:`DurableEngine.__init__`,
-  :meth:`repro.runtime.engine.DeltaEngine.recover`) — load the latest
-  valid snapshot, replay the WAL suffix ``lsn > watermark`` through the
-  normal batch path, resume logging at the right LSN.  The recovery
+* **recovery** (:func:`rebuild_engine`, behind :func:`recover_engine`,
+  :meth:`DurableEngine.__init__`, the shard supervisor's durable rebuild
+  and the view server's resume from the log) — load the latest valid
+  snapshot, replay the WAL suffix ``lsn > watermark`` through the normal
+  batch path, resume logging at the right LSN.  The recovery
   invariant (pinned by the hypothesis suite in
   ``tests/runtime/test_fault_injection.py``): *snapshot + WAL-suffix
   replay lands on a state identical to an uninterrupted engine that
@@ -66,17 +68,16 @@ from typing import Callable, Iterator, Optional, Sequence
 from repro.compiler.program import CompiledProgram
 from repro.errors import (
     DurabilityError,
-    EventError,
     RecoveryError,
     ResumeGapError,
     WalCorruptionError,
 )
-from repro.runtime.engine import DEFAULT_BATCH_SIZE
-from repro.runtime.events import EventBatch, StreamEvent, batches
+from repro.runtime.engine import _EventFeed
+from repro.runtime.events import EventBatch
 
 #: Labels at which the durability layer calls its fault-injection probe.
 PROBE_POINTS = (
-    "wal.mid_frame",         # half a flush written to the segment fd
+    "wal.mid_frame",         # half a frame written to the segment fd
     "engine.after_append",   # frame durable per policy, not yet applied
     "engine.after_apply",    # frame applied, snapshot check not yet run
     "snapshot.mid_write",    # half the snapshot body written to the tmp
@@ -89,10 +90,10 @@ FSYNC_POLICIES = ("always", "batch", "none")
 #: Rotate to a fresh segment once the current one exceeds this.
 DEFAULT_SEGMENT_BYTES = 16 * 1024 * 1024
 
-#: ``batch``/``none`` appends buffer in memory up to this many bytes
-#: before being written out (bounds loss *and* memory, not durability —
-#: only ``sync()`` establishes a durability barrier).
-DEFAULT_FLUSH_BYTES = 256 * 1024
+#: Under ``fsync="batch"`` the log fsyncs once this many bytes have been
+#: written since the last fsync (and at every :meth:`WriteAheadLog.sync`,
+#: rotation and close): the most a power loss can take.
+BATCH_FSYNC_BYTES = 256 * 1024
 
 _FORMAT_VERSION = 1
 _SEGMENT_MAGIC = b"RWAL"
@@ -384,19 +385,17 @@ def _oldest_replayable_lsn(directory: Path) -> Optional[int]:
 class WriteAheadLog:
     """An append-only, segmented log of column-packed event batches.
 
-    Each :meth:`append` assigns the batch the next LSN and encodes it as
-    one CRC-checksummed frame.  The fsync policy controls when frames
-    reach disk:
+    Each :meth:`append` assigns the batch the next LSN and writes it to
+    the segment file as one CRC-checksummed frame before returning, so
+    every appended frame survives a crash of the process.  The fsync
+    policy controls when frames survive a power loss too:
 
-    * ``"always"`` — every append is written *and* fsynced before it
-      returns (durable on return; the slowest policy);
-    * ``"batch"`` — appends buffer in memory and are written + fsynced
-      together at :meth:`sync` barriers, segment rotation, close, or when
-      the buffer exceeds ``flush_bytes`` (the default; amortises fsync
-      across a batch of frames);
-    * ``"none"`` — like ``"batch"`` but never fsyncs: the OS decides when
-      pages hit disk.  Survives process crashes after a :meth:`sync` (the
-      data reached the kernel), not power loss.
+    * ``"always"`` — every append is fsynced before it returns (the
+      slowest policy);
+    * ``"batch"`` — an fsync once :data:`BATCH_FSYNC_BYTES` have been
+      written since the last one, and at :meth:`sync` barriers, segment
+      rotation and close (the default; amortises fsync across frames);
+    * ``"none"`` — never fsyncs: the OS decides when pages reach disk.
 
     Opening a directory that already holds a log *resumes* it: the last
     segment is scanned, a torn tail (truncated frame or CRC mismatch left
@@ -408,7 +407,6 @@ class WriteAheadLog:
         directory: str | Path,
         fsync: str = "batch",
         segment_bytes: int = DEFAULT_SEGMENT_BYTES,
-        flush_bytes: int = DEFAULT_FLUSH_BYTES,
         probe: Optional[Callable[[str], None]] = None,
     ) -> None:
         if fsync not in FSYNC_POLICIES:
@@ -420,11 +418,10 @@ class WriteAheadLog:
         self.directory.mkdir(parents=True, exist_ok=True)
         self.fsync = fsync
         self.segment_bytes = segment_bytes
-        self.flush_bytes = flush_bytes
         self.probe = probe
-        self._pending = bytearray()
         self._fd: Optional[int] = None
         self._segment_size = 0
+        self._unsynced = 0  # bytes written since the last fsync
         self._next_lsn = 1
         self._open_tail()
 
@@ -477,8 +474,8 @@ class WriteAheadLog:
 
     @property
     def last_lsn(self) -> int:
-        """The LSN of the most recently appended (not necessarily durable)
-        frame; 0 for an empty log."""
+        """The LSN of the most recently appended frame (written, fsynced
+        per policy); 0 for an empty log."""
         return self._next_lsn - 1
 
     def ensure_lsn(self, watermark: int) -> None:
@@ -501,12 +498,10 @@ class WriteAheadLog:
         This is the watermark :meth:`truncate_before` has advanced to:
         ``replay(after_lsn=A)`` succeeds iff ``A + 1 >= `` this value (a
         smaller ``A`` asks for truncated frames and raises
-        :class:`~repro.errors.ResumeGapError`).  Buffered appends are
-        written out first so the answer covers every assigned LSN.
+        :class:`~repro.errors.ResumeGapError`).
         """
         if self._fd is None:
             raise DurabilityError("write-ahead log is closed")
-        self._flush(fsync=False)
         return _oldest_replayable_lsn(self.directory)
 
     def append(
@@ -514,8 +509,9 @@ class WriteAheadLog:
     ) -> int:
         """Log one batch; returns its LSN.
 
-        Durability on return depends on the fsync policy (see the class
-        docstring); :meth:`sync` is the explicit barrier.
+        The frame is written on return; whether it is fsynced depends on
+        the policy (see the class docstring) — :meth:`sync` is the
+        explicit barrier.
         """
         return self._append_payload(
             encode_batch_payload(relation, sign, columns, rows)
@@ -543,52 +539,48 @@ class WriteAheadLog:
             raise DurabilityError("write-ahead log is closed")
         lsn = self._next_lsn
         header = _pack_frame_header(lsn, len(payload))
-        pending = self._pending
+        frame = header + payload + _pack_crc(_crc32(payload, _crc32(header)))
         if (
-            self._segment_size + len(pending) + len(header) + len(payload)
-            + _FRAME_CRC.size > self.segment_bytes
-            and self._segment_size + len(pending) > _SEGMENT_HEADER.size
+            self._segment_size + len(frame) > self.segment_bytes
+            and self._segment_size > _SEGMENT_HEADER.size
         ):
             self._rotate(lsn)
-            pending = self._pending
-        pending += header
-        pending += payload
-        pending += _pack_crc(_crc32(payload, _crc32(header)))
+        if self.probe is not None:
+            # Fault injection: let a crash land between the two halves of
+            # the frame, leaving a genuinely torn frame on disk.
+            half = len(frame) // 2
+            os.write(self._fd, frame[:half])
+            self.probe("wal.mid_frame")
+            os.write(self._fd, frame[half:])
+        else:
+            os.write(self._fd, frame)
+        self._segment_size += len(frame)
         self._next_lsn = lsn + 1
         if self.fsync == "always":
-            self._flush(fsync=True)
-        elif len(pending) >= self.flush_bytes:
-            self._flush(fsync=self.fsync == "batch")
+            os.fsync(self._fd)
+        elif self.fsync == "batch":
+            self._unsynced += len(frame)
+            if self._unsynced >= BATCH_FSYNC_BYTES:
+                self._fsync()
         return lsn
 
+    def _fsync(self) -> None:
+        if self.fsync != "none":
+            os.fsync(self._fd)
+        self._unsynced = 0
+
     def _rotate(self, next_lsn: int) -> None:
-        self._flush(fsync=self.fsync != "none")
+        self._fsync()
         os.close(self._fd)
         self._start_segment(next_lsn)
 
-    def _flush(self, fsync: bool) -> None:
-        if self._pending:
-            data = bytes(self._pending)
-            self._pending.clear()
-            if self.probe is not None and len(data) > 1:
-                # Fault injection: let a crash land between the two halves
-                # of one write, producing a genuinely torn frame on disk.
-                half = len(data) // 2
-                os.write(self._fd, data[:half])
-                self.probe("wal.mid_frame")
-                os.write(self._fd, data[half:])
-            else:
-                os.write(self._fd, data)
-            self._segment_size += len(data)
-        if fsync:
-            os.fsync(self._fd)
-
     def sync(self) -> None:
-        """Durability barrier: buffered frames reach disk before return
-        (written, and fsynced unless the policy is ``"none"``)."""
+        """Durability barrier: every appended frame is on disk before
+        return (a no-op under ``"none"``, whose frames are only ever
+        handed to the kernel)."""
         if self._fd is None:
             raise DurabilityError("write-ahead log is closed")
-        self._flush(fsync=self.fsync != "none")
+        self._fsync()
 
     def truncate_before(self, watermark: int) -> list[Path]:
         """Remove log segments every frame of which is ``<= watermark``.
@@ -621,21 +613,20 @@ class WriteAheadLog:
         return removed
 
     def close(self) -> None:
-        """Flush and close (idempotent)."""
+        """Fsync (per policy) and close (idempotent)."""
         if self._fd is None:
             return
-        self._flush(fsync=self.fsync != "none")
+        self._fsync()
         os.close(self._fd)
         self._fd = None
 
     def abandon(self) -> None:
-        """Drop buffered frames and close *without* flushing.
+        """Close *without* the closing fsync.
 
-        This is the fault-injection escape hatch: it leaves the on-disk
-        state exactly as a SIGKILL would — everything written so far
-        survives, everything still buffered in memory is lost.
+        This is the fault-injection escape hatch: it leaves the files
+        exactly as a SIGKILL would — every appended frame was already
+        written to the kernel, so all of them survive.
         """
-        self._pending.clear()
         if self._fd is not None:
             os.close(self._fd)
             self._fd = None
@@ -928,41 +919,41 @@ def _check_meta(directory: Path, fingerprint: str, create: bool) -> None:
 # ---------------------------------------------------------------------------
 
 
-def recover_engine(
-    program: CompiledProgram,
+def rebuild_engine(
+    engine,
     directory: str | Path,
-    shards: int = 1,
-    parallel: bool = False,
-    **engine_kwargs,
-):
-    """Rebuild an engine from a durable directory.
+    max_lsn: Optional[int] = None,
+    reset: bool = False,
+    on_batch: Optional[Callable[[int, Optional[EventBatch]], None]] = None,
+) -> tuple[int, int]:
+    """Rebuild ``engine``'s state from a durable directory.
 
-    Loads the latest valid snapshot (if any) into a fresh engine via
-    ``restore_state`` and replays the WAL suffix ``lsn > watermark``
-    through the normal batch path.  Returns ``(engine, lsn)`` where
-    ``lsn`` is the last applied frame's LSN (the watermark a resumed log
-    must not re-issue).  With ``shards > 1`` the engine is a
-    :class:`~repro.runtime.engine.ShardedEngine` — the log is written
-    pre-partition, so any shard count can recover the same directory.
+    Restores the newest valid snapshot at or below ``max_lsn`` (any, by
+    default) through ``restore_state`` — or, when there is none, the
+    empty state (``reset=True``; a freshly built engine already holds
+    it) — then replays the WAL suffix past the snapshot's watermark
+    through the engine's batch path.  This is the one rebuild behind
+    crash recovery (:func:`recover_engine`), a supervised shard
+    engine's lane rebuild and a serving subscriber's resume from the log.
 
-    Replay is idempotent by construction: every frame at or below the
-    watermark is filtered out by LSN, so recovering twice (or recovering
-    an already-recovered directory) reaches the identical state.
+    ``on_batch(lsn, batch)`` runs at every state the rebuild passes
+    through: once after the restore (``batch`` is ``None`` and ``lsn``
+    the watermark) and after each replayed batch.
+
+    Returns ``(lsn, frames)``: the last applied LSN (the watermark a
+    resumed log must not re-issue) and the number of frames replayed.
+    Replay is idempotent by construction — every frame at or below the
+    watermark is filtered out by LSN.  Raises
+    :class:`~repro.errors.ResumeGapError` when truncation removed frames
+    the suffix needs.
     """
-    from repro.runtime.engine import DeltaEngine, ShardedEngine
-
     directory = Path(directory)
-    fingerprint = program_fingerprint(program)
-    _check_meta(directory, fingerprint, create=False)
-    if shards > 1:
-        engine = ShardedEngine(
-            program, shards=shards, parallel=parallel, **engine_kwargs
-        )
-    else:
-        engine = DeltaEngine(program, **engine_kwargs)
+    snapshot = (
+        SnapshotStore(directory).load_latest(max_lsn) if directory.exists() else None
+    )
     watermark = 0
-    snapshot = SnapshotStore(directory).load_latest() if directory.exists() else None
     if snapshot is not None:
+        fingerprint = program_fingerprint(engine.program)
         stored = snapshot.get("fingerprint")
         if stored is not None and stored != fingerprint:
             raise RecoveryError(
@@ -977,13 +968,51 @@ def recover_engine(
             stream_started=snapshot.get("stream_started"),
         )
         watermark = snapshot["lsn"]
-    last = watermark
+    elif reset:
+        engine.restore_state({})
+    if on_batch is not None:
+        on_batch(watermark, None)
+    last, frames = watermark, 0
+    for lsn, relation, sign, columns in WriteAheadLog.replay(
+        directory, after_lsn=watermark
+    ):
+        batch = EventBatch.from_columns(relation, sign, columns)
+        engine._process_batch(batch)
+        if on_batch is not None:
+            on_batch(lsn, batch)
+        last, frames = lsn, frames + 1
+    return last, frames
+
+
+def recover_engine(
+    program: CompiledProgram,
+    directory: str | Path,
+    shards: int = 1,
+    parallel: bool = False,
+    **engine_kwargs,
+):
+    """Rebuild an engine from a durable directory.
+
+    A fresh engine (a :class:`~repro.runtime.engine.ShardedEngine` with
+    ``shards > 1`` — the log is written pre-partition, so any shard count
+    can recover the same directory) rebuilt by :func:`rebuild_engine`:
+    the latest valid snapshot plus the WAL suffix.  Returns ``(engine,
+    lsn)`` where ``lsn`` is the last applied frame's LSN.  Recovering
+    twice (or recovering an already-recovered directory) reaches the
+    identical state.
+    """
+    from repro.runtime.engine import DeltaEngine, ShardedEngine
+
+    directory = Path(directory)
+    _check_meta(directory, program_fingerprint(program), create=False)
+    if shards > 1:
+        engine = ShardedEngine(
+            program, shards=shards, parallel=parallel, **engine_kwargs
+        )
+    else:
+        engine = DeltaEngine(program, **engine_kwargs)
     try:
-        for lsn, relation, sign, columns in WriteAheadLog.replay(
-            directory, after_lsn=watermark
-        ):
-            engine.process_batch_columns(relation, sign, columns)
-            last = lsn
+        last, _ = rebuild_engine(engine, directory)
     except ResumeGapError as exc:
         # Only reachable when every snapshot is invalid but the log was
         # already truncated past one: the lost prefix is unrecoverable,
@@ -1002,7 +1031,7 @@ def recover_engine(
 # ---------------------------------------------------------------------------
 
 
-class DurableEngine:
+class DurableEngine(_EventFeed):
     """A crash-durable engine: WAL + snapshots around the delta engine.
 
     Opening a directory recovers whatever state it holds (latest valid
@@ -1058,8 +1087,8 @@ class DurableEngine:
             self.directory, fsync=fsync, segment_bytes=segment_bytes,
             probe=probe,
         )
-        # A lost tail (crash under fsync="batch"/"none" after a snapshot)
-        # must not re-issue LSNs the snapshot already covers.
+        # A tail lost to a power cut (fsync="batch"/"none") after a
+        # snapshot must not re-issue LSNs the snapshot already covers.
         self._wal.ensure_lsn(self._lsn)
         # Flush-path delta taps on the wrapped engine observe the WAL LSN:
         # every batch is appended immediately before it is applied, so at
@@ -1076,11 +1105,6 @@ class DurableEngine:
             supervisor.install_rebuilder(self._rebuild_from_disk)
         self._since_snapshot = 0
         self._closed = False
-        # (relation, sign) pairs _precheck has already admitted.  Strict
-        # mode, the trigger set and the known relations are fixed for the
-        # engine's lifetime, so a non-static pair never needs re-checking;
-        # static tables stay out (their validity flips with the stream).
-        self._precheck_ok: set = set()
 
     # -- event processing ---------------------------------------------------
 
@@ -1094,42 +1118,19 @@ class DurableEngine:
         """The LSN of the last applied batch (0 before any event)."""
         return self._lsn
 
-    def _precheck(self, relation: str, sign: int) -> None:
-        """Raise the engine's own validation errors *before* logging, so a
-        rejected batch never poisons the log (replay would re-raise it on
-        every recovery)."""
-        from repro.runtime.engine import _unknown_relation_error
+    def _process_batch(self, batch: EventBatch) -> int:
+        """Check, log, then apply one batch.
 
-        inner = self._engine
-        if relation in self.program.static_relations:
-            if inner._stream_started:
-                raise EventError(
-                    f"static table {relation!r} cannot change after "
-                    "stream processing has started; declare it as a STREAM "
-                    "if it receives online updates"
-                )
-            if sign != 1:
-                raise EventError(
-                    f"static table {relation!r} only supports bulk-load "
-                    "inserts"
-                )
-        elif (
-            inner.strict
-            and (relation, sign) not in self.program.triggers
-            and relation not in inner._relations
-        ):
-            raise _unknown_relation_error(self.program, relation)
-        else:
-            self._precheck_ok.add((relation, sign))
-
-    def _log_and_apply(self, batch: EventBatch) -> int:
+        The wrapped engine's admission check runs before the append, so a
+        rejected batch never reaches the log (replay would re-raise it on
+        every recovery).
+        """
         if self._closed:
             raise DurabilityError("DurableEngine is closed")
         count = len(batch)
         if not count:
             return 0
-        if (batch.relation, batch.sign) not in self._precheck_ok:
-            self._precheck(batch.relation, batch.sign)
+        self._engine.check_admission(batch.relation, batch.sign)
         lsn = self._wal.append_batch(batch)
         if self._probe is not None:
             self._probe("engine.after_append")
@@ -1145,54 +1146,16 @@ class DurableEngine:
             self.snapshot()
         return count
 
-    def process(self, event: StreamEvent) -> None:
-        """Log and apply one event (a one-row batch)."""
-        self._log_and_apply(EventBatch(event.relation, event.sign, [event.values]))
-
-    def process_batch(
-        self, relation: str, sign: int, rows: Sequence[Sequence]
-    ) -> int:
-        rows = rows if isinstance(rows, list) else list(rows)
-        if not rows:
-            return 0
-        return self._log_and_apply(EventBatch(relation, sign, rows))
-
-    def process_batch_columns(
-        self, relation: str, sign: int, columns: Sequence[Sequence]
-    ) -> int:
-        return self._log_and_apply(EventBatch.from_columns(relation, sign, columns))
-
-    def process_stream(
-        self, events, batch_size: Optional[int] = DEFAULT_BATCH_SIZE
-    ) -> int:
-        """Log and apply a whole stream, batch by batch (see
-        :meth:`repro.runtime.engine.DeltaEngine.process_stream`)."""
-        count = 0
-        for batch in batches(events, batch_size):
-            self._log_and_apply(batch)
-            count += len(batch)
-        return count
-
-    def insert(self, relation: str, *values) -> None:
-        self.process(StreamEvent(relation, 1, tuple(values)))
-
-    def delete(self, relation: str, *values) -> None:
-        self.process(StreamEvent(relation, -1, tuple(values)))
-
-    def load(self, relation: str, rows) -> int:
-        rows = [tuple(row) for row in rows]
-        self.process_batch(relation, 1, rows)
-        return len(rows)
+    # Bound on the class itself, not only inherited: span tracers wrap
+    # ``DurableEngine.process_batch`` by name.
+    process_batch = _EventFeed.process_batch
 
     # -- durability control -------------------------------------------------
 
     def sync(self) -> None:
         """Durability barrier: every logged batch reaches disk (and every
         shard worker drains) before return."""
-        if getattr(self._engine, "parallel", False) or hasattr(
-            self._engine, "merged_maps"
-        ):
-            self._engine.sync()
+        self._engine.sync()
         self._wal.sync()
 
     def oldest_replayable_lsn(self) -> Optional[int]:
@@ -1207,39 +1170,21 @@ class DurableEngine:
         The shard supervisor calls this after respawning a dead worker:
         every lane (the fresh one and the survivors) is reset and the
         whole engine is rebuilt from the latest snapshot plus the WAL
-        suffix — the same path crash recovery takes, so the supervisor
-        inherits its parity guarantees.  The in-flight batch is already
-        in the WAL (appended before apply), so the replay re-applies it
-        and the caller must *not* re-send it.  Flush-path listeners are
-        suppressed during the rebuild: subscribers already saw these
-        deltas, re-rendering them would duplicate the stream.
+        suffix (:func:`rebuild_engine`, the path crash recovery takes),
+        so the supervisor inherits its parity guarantees.  The in-flight
+        batch is already in the WAL (appended before apply), so the
+        replay re-applies it and the caller must *not* re-send it.
+        Flush-path listeners are suppressed during the rebuild:
+        subscribers already saw these deltas, re-rendering them would
+        duplicate the stream.
 
         Returns the number of WAL frames replayed (the suffix length the
         recovery time is linear in).
         """
-        self._wal.sync()
         engine = self._engine
-        snapshot = self._snapshots.load_latest()
         listeners, engine._batch_listeners = engine._batch_listeners, []
         try:
-            watermark = 0
-            if snapshot is not None:
-                engine.restore_state(
-                    snapshot["maps"],
-                    events_processed=snapshot.get("events_processed", 0),
-                    events_skipped=snapshot.get("events_skipped", 0),
-                    stream_started=snapshot.get("stream_started"),
-                )
-                watermark = snapshot["lsn"]
-            else:
-                engine.restore_state({})
-            replayed = 0
-            for lsn, relation, sign, columns in WriteAheadLog.replay(
-                self.directory, after_lsn=watermark
-            ):
-                engine.process_batch_columns(relation, sign, columns)
-                replayed += 1
-            return replayed
+            return rebuild_engine(engine, self.directory, reset=True)[1]
         finally:
             engine._batch_listeners = listeners
 
@@ -1254,23 +1199,7 @@ class DurableEngine:
         if self._closed:
             raise DurabilityError("DurableEngine is closed")
         self._wal.sync()
-        engine = self._engine
-        if hasattr(engine, "merged_maps"):
-            maps = engine.merged_maps()
-            events_processed = engine.events_processed
-        else:
-            maps = engine.maps
-            events_processed = engine.events_processed
-        state = {
-            # Plain dicts: storage-agnostic (a columnar engine's snapshot
-            # restores into a dict engine and vice versa), insertion order
-            # preserved either way.
-            "maps": {name: dict(contents) for name, contents in maps.items()},
-            "events_processed": events_processed,
-            "events_skipped": engine.events_skipped,
-            "stream_started": engine._stream_started,
-            "fingerprint": self.fingerprint,
-        }
+        state = dict(self._engine.snapshot_state(), fingerprint=self.fingerprint)
         path = self._snapshots.save(self._lsn, state)
         self._since_snapshot = 0
         # Snapshots retire log prefixes: segments recovery can no longer
@@ -1287,10 +1216,9 @@ class DurableEngine:
             return
         self._closed = True
         self._wal.close()
-        if hasattr(self._engine, "merged_maps"):
-            # Keep the sharded engine open for reads?  No: its contract is
-            # close-discards; the durable state is on disk.
-            self._engine.close()
+        # A sharded engine's close discards its lanes; the durable state
+        # is on disk.
+        self._engine.close()
 
     def abandon(self) -> None:
         """Simulate a crash: drop all in-memory state without flushing.
@@ -1301,8 +1229,7 @@ class DurableEngine:
         """
         self._closed = True
         self._wal.abandon()
-        if hasattr(self._engine, "merged_maps"):
-            self._engine.close()
+        self._engine.close()
 
     def __enter__(self) -> "DurableEngine":
         return self

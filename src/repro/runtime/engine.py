@@ -150,250 +150,24 @@ class InterpretedExecutor:
         )
 
 
-class DeltaEngine:
-    """A standing-query engine over a compiled delta program.
+class _EventFeed:
+    """The event-processing entry points, all funnelled into one
+    ``_process_batch(batch)`` that the concrete engine defines.
 
-    The engine owns one storage object per maintained map and dispatches
-    stream events to the trigger executor (generated Python functions in
-    ``mode="compiled"``, the IR tree-walker in ``mode="interpreted"``).
-    Typical embedded use::
-
-        engine = DeltaEngine(compile_sql(query, catalog))
-        engine.insert("bids", 1, 7, 100, 50)   # one event
-        engine.process_stream(events)           # a whole (batched) feed
-        engine.results()                        # current standing rows
-
-    Map storage follows the compiler's storage plan
-    (:func:`repro.compiler.storage.analyze_storage`): keyed maps with
-    proven value types live in packed
-    :class:`~repro.runtime.storage.ColumnarMap` columns, scalar maps in
-    plain dicts.  ``columnar=False`` forces dict storage for every map
-    (the storage ablation, the CLI's ``--no-columnar``); contents are
-    bit-identical either way.
+    Shared by :class:`DeltaEngine`, :class:`ShardedEngine` and
+    :class:`~repro.runtime.durability.DurableEngine`, so a single event,
+    a row run, a columnar run, a whole stream and a bulk load all take
+    the same batch path.
     """
 
-    def __init__(
-        self,
-        program: CompiledProgram,
-        mode: str = "compiled",
-        profiler=None,
-        strict: bool = False,
-        use_indexes: bool = True,
-        optimize: bool = True,
-        second_order: bool = True,
-        columnar: bool = True,
-    ) -> None:
-        """``strict=True`` raises on events for relations no standing query
-        reads; the default silently skips them (a feed usually carries more
-        streams than one query subscribes to).  ``use_indexes=False``
-        disables secondary-index generation in compiled mode (the
-        access-pattern ablation); ``optimize=False`` disables the IR
-        optimisation pipeline in both modes (the loop-optimisation
-        ablation, also the bench harness's ``--no-opt``);
-        ``second_order=False`` disables the delta-of-delta batch sink, so
-        self-reading triggers fall back to the per-row batch loop (the
-        higher-order batching ablation); ``columnar=False`` disables
-        packed columnar map storage, keeping every map a plain dict (the
-        storage ablation, also the CLI's ``--no-columnar``)."""
-        self.program = program
-        self.columnar = columnar
-        if columnar:
-            self.maps: dict[str, dict] = analyze_storage(program).create_maps()
-        else:
-            self.maps = {name: {} for name in program.maps}
-        self.profiler = profiler
-        self.events_processed = 0
-        self.use_indexes = use_indexes
-        self.optimize = optimize
-        self.second_order = second_order
-        if mode == "compiled":
-            from repro.codegen.pygen import CompiledExecutor
-
-            self._executor = CompiledExecutor(
-                program,
-                self.maps,
-                use_indexes=use_indexes,
-                optimize=optimize,
-                second_order=second_order,
-                columnar=columnar,
-            )
-        elif mode == "native":
-            from repro.codegen.native import NativeExecutor
-
-            self._executor = NativeExecutor(
-                program,
-                self.maps,
-                use_indexes=use_indexes,
-                optimize=optimize,
-                second_order=second_order,
-                columnar=columnar,
-            )
-        elif mode == "interpreted":
-            self._executor = InterpretedExecutor(
-                program, optimize=optimize, second_order=second_order
-            )
-        else:
-            raise EventError(f"unknown engine mode {mode!r}")
-        self.mode = mode
-        self.strict = strict
-        self._relations = {rel for rel, _ in program.triggers}
-        self._stream_started = False
-        self.events_skipped = 0
-        # The flush-path delta tap (see repro.runtime.serving): listeners
-        # observe every batch that reached a trigger, stamped with a
-        # monotonic LSN.  ``lsn_source`` overrides the local clock — the
-        # durable engine points it at the WAL so delivered deltas carry
-        # the durability LSN of the batch they derive from.
-        self._batch_listeners: list = []
-        self._tap_clock = 0
-        self.lsn_source: Optional[callable] = None
-
-    def __deepcopy__(self, memo: dict) -> "DeltaEngine":
-        """Snapshot support (used by the benchmark harness).
-
-        The compiled executor binds map dictionaries as function defaults,
-        so a naive deepcopy would leave the copied engine's triggers writing
-        to the *original* maps; instead the copy rebinds a fresh executor
-        over copied maps (the immutable program is shared).
-        """
-        clone = DeltaEngine(
-            self.program,
-            mode=self.mode,
-            profiler=None,
-            strict=self.strict,
-            use_indexes=self.use_indexes,
-            optimize=self.optimize,
-            second_order=self.second_order,
-            columnar=self.columnar,
-        )
-        clone.maps.update(
-            {
-                # dict.copy / ColumnarMap.copy both preserve the storage
-                # layout and insertion order of the snapshot.
-                name: contents.copy()
-                for name, contents in self.maps.items()
-            }
-        )
-        if self.mode != "interpreted":
-            clone._executor.bind(clone.maps)
-        clone.events_processed = self.events_processed
-        clone.events_skipped = self.events_skipped
-        clone._stream_started = self._stream_started
-        memo[id(self)] = clone
-        return clone
-
-    # -- event processing -------------------------------------------------
-
     def process(self, event: StreamEvent) -> None:
-        """Apply one insert/delete event.
+        """Apply one insert/delete event (a one-row batch).
 
         Static tables must be fully loaded before the first stream event:
         mixed static/stream maps carry no static-table triggers, which is
         only sound while all streams are empty.
         """
-        if event.relation in self.program.static_relations:
-            if self._stream_started:
-                raise EventError(
-                    f"static table {event.relation!r} cannot change after "
-                    "stream processing has started; declare it as a STREAM "
-                    "if it receives online updates"
-                )
-            if event.sign != 1:
-                raise EventError(
-                    f"static table {event.relation!r} only supports bulk-load "
-                    "inserts"
-                )
-        elif event.relation in self._relations:
-            self._stream_started = True
-        trigger = self.program.triggers.get((event.relation, event.sign))
-        if trigger is None:
-            if event.relation not in self._relations:
-                if self.strict:
-                    raise _unknown_relation_error(self.program, event.relation)
-                self.events_skipped += 1
-                return
-            return  # deletions disabled at compile time, or no statements
-        self._executor.execute(trigger, event.values, self.maps, self.profiler)
-        self.events_processed += 1
-        if self.profiler is not None:
-            self.profiler.record_event(event)
-        if self._batch_listeners:
-            self._notify_listeners(
-                EventBatch(event.relation, event.sign, [event.values])
-            )
-
-    def _process_batch(self, batch: EventBatch) -> int:
-        """Dispatch one batch: per-event trigger for a degenerate one-row
-        run (no loop setup, no transpose, and a second-order flush would
-        restate whole maps for one row's change), the columnar ``*_batch``
-        trigger otherwise.
-
-        This is the engine's hottest dispatch path on interleaved feeds
-        (runs average a handful of rows), so the static-table/strict/skip
-        bookkeeping is inlined rather than factored out.
-        """
-        count = batch._length
-        if not count:
-            return 0
-        relation, sign = batch.relation, batch.sign
-        if relation in self.program.static_relations:
-            if self._stream_started:
-                raise EventError(
-                    f"static table {relation!r} cannot change after "
-                    "stream processing has started; declare it as a STREAM "
-                    "if it receives online updates"
-                )
-            if sign != 1:
-                raise EventError(
-                    f"static table {relation!r} only supports bulk-load "
-                    "inserts"
-                )
-        elif relation in self._relations:
-            self._stream_started = True
-        trigger = self.program.triggers.get((relation, sign))
-        if trigger is None:
-            if relation not in self._relations:
-                if self.strict:
-                    raise _unknown_relation_error(self.program, relation)
-                self.events_skipped += count
-            return 0  # or: deletions disabled / no statements
-        if count == 1:
-            self._executor.execute(trigger, batch.row(0), self.maps, self.profiler)
-        else:
-            self._executor.execute_batch(
-                trigger, batch.columns, self.maps, self.profiler
-            )
-        self.events_processed += count
-        if self.profiler is not None:
-            self.profiler.record_batch(relation, sign, count)
-        if self._batch_listeners:
-            self._notify_listeners(batch)
-        return count
-
-    def _notify_listeners(self, batch: EventBatch) -> None:
-        """Fire the flush-path tap: the batch just applied, LSN-stamped.
-
-        Listener errors propagate — a tap that cannot keep up (or raises)
-        must surface to the caller rather than silently drop deltas.
-        """
-        self._tap_clock += 1
-        lsn = (
-            self.lsn_source()
-            if self.lsn_source is not None
-            else self._tap_clock
-        )
-        for listener in list(self._batch_listeners):
-            listener(lsn, batch)
-
-    def add_batch_listener(self, listener) -> None:
-        """Register a flush-path tap: ``listener(lsn, batch)`` runs after
-        every batch that reached a trigger (skipped relations never fire).
-        LSNs are monotonic; a :class:`~repro.runtime.durability.DurableEngine`
-        substitutes the WAL LSN of the logged batch."""
-        self._batch_listeners.append(listener)
-
-    def remove_batch_listener(self, listener) -> None:
-        self._batch_listeners.remove(listener)
+        self._process_batch(EventBatch(event.relation, event.sign, [event.values]))
 
     def process_batch(self, relation: str, sign: int, rows: Sequence[Sequence]) -> int:
         """Apply a run of same-``(relation, sign)`` rows as one batch.
@@ -466,6 +240,333 @@ class DeltaEngine:
         self.process_batch(relation, 1, rows)
         return len(rows)
 
+
+class _Ingest(_EventFeed):
+    """What :class:`DeltaEngine` and :class:`ShardedEngine` share: the
+    batch-admission rules, the flush-path delta tap and the result reads.
+
+    Subclasses define ``_process_batch`` (which admits each batch through
+    :meth:`_admit`), ``_current_maps`` (the maintained maps, merged across
+    lanes where there are several) and ``index_sizes``.
+    """
+
+    def __init__(self, program: CompiledProgram, strict: bool) -> None:
+        self.program = program
+        self.strict = strict
+        self.events_skipped = 0
+        self._relations = {rel for rel, _ in program.triggers}
+        # Stream-relation triggers: always admitted, so the dispatch hot
+        # path can look them up without running the admission rules.
+        self._stream_triggers = {
+            key: trigger
+            for key, trigger in program.triggers.items()
+            if key[0] not in program.static_relations
+        }
+        self._stream_started = False
+        # The flush-path delta tap (see repro.runtime.serving): listeners
+        # observe every batch that reached a trigger, stamped with a
+        # monotonic LSN.  ``lsn_source`` overrides the local clock — the
+        # durable engine points it at the WAL so delivered deltas carry
+        # the durability LSN of the batch they derive from.
+        self._batch_listeners: list = []
+        self._tap_clock = 0
+        self.lsn_source: Optional[callable] = None
+
+    # -- batch admission ----------------------------------------------------
+
+    def check_admission(self, relation: str, sign: int) -> None:
+        """Raise the error a ``(relation, sign)`` batch would be rejected
+        with now, changing nothing.
+
+        Static tables load (inserts only) before the first stream event;
+        strict mode rejects relations no standing query reads.  A durable
+        engine runs this before logging, so a rejected batch never
+        reaches the WAL.
+        """
+        if relation in self.program.static_relations:
+            if self._stream_started:
+                raise EventError(
+                    f"static table {relation!r} cannot change after "
+                    "stream processing has started; declare it as a STREAM "
+                    "if it receives online updates"
+                )
+            if sign != 1:
+                raise EventError(
+                    f"static table {relation!r} only supports bulk-load "
+                    "inserts"
+                )
+        if self.strict and relation not in self._relations:
+            raise _unknown_relation_error(self.program, relation)
+
+    def _admit(self, relation: str, sign: int, count: int) -> Optional[Trigger]:
+        """Admit a ``count``-row batch: its trigger, or ``None`` when no
+        trigger runs (a skipped relation, counted in ``events_skipped``;
+        or deletions disabled at compile time).  A stream relation marks
+        the stream as started."""
+        self.check_admission(relation, sign)
+        if relation not in self._relations:
+            self.events_skipped += count
+            return None
+        if relation not in self.program.static_relations:
+            self._stream_started = True
+        return self.program.triggers.get((relation, sign))
+
+    # -- the flush-path tap -------------------------------------------------
+
+    def _notify_listeners(self, batch: EventBatch) -> None:
+        """Fire the flush-path tap: the batch just applied, LSN-stamped.
+
+        Listener errors propagate — a tap that cannot keep up (or raises)
+        must surface to the caller rather than silently drop deltas.
+        """
+        self._tap_clock += 1
+        lsn = (
+            self.lsn_source()
+            if self.lsn_source is not None
+            else self._tap_clock
+        )
+        for listener in list(self._batch_listeners):
+            listener(lsn, batch)
+
+    def add_batch_listener(self, listener) -> None:
+        """Register a flush-path tap: ``listener(lsn, batch)`` runs after
+        every batch that reached a trigger (skipped relations never fire).
+        LSNs are monotonic; a :class:`~repro.runtime.durability.DurableEngine`
+        substitutes the WAL LSN of the logged batch."""
+        self._batch_listeners.append(listener)
+
+    def remove_batch_listener(self, listener) -> None:
+        self._batch_listeners.remove(listener)
+
+    # -- results ------------------------------------------------------------
+
+    def results(self, query_name: Optional[str] = None) -> list[tuple]:
+        """Current rows of a standing query."""
+        return query_results(self.program, self._current_maps(), query_name)
+
+    def results_dict(self, query_name: Optional[str] = None) -> list[dict]:
+        query = self._query(query_name)
+        return result_rows_to_dicts(query, self.results(query.name))
+
+    def result_scalar(self, query_name: Optional[str] = None):
+        """The single value of a scalar (non-grouped, single-item) query."""
+        rows = self.results(query_name)
+        if len(rows) != 1 or len(rows[0]) != 1:
+            raise EventError("result_scalar requires a scalar single-item query")
+        return rows[0][0]
+
+    def _query(self, query_name: Optional[str]):
+        if query_name is None:
+            if len(self.program.queries) != 1:
+                raise EventError("query_name required with multiple queries")
+            return self.program.queries[0]
+        for query in self.program.queries:
+            if query.name == query_name:
+                return query
+        raise EventError(f"unknown query {query_name!r}")
+
+    def snapshot_state(self) -> dict:
+        """The state a durable snapshot stores — the inverse of
+        ``restore_state``.  Maps are plain dicts: storage-agnostic (a
+        columnar engine's snapshot restores into a dict engine and vice
+        versa), insertion order preserved either way."""
+        maps = self._current_maps()
+        return {
+            "maps": {name: dict(contents) for name, contents in maps.items()},
+            "events_processed": self.events_processed,
+            "events_skipped": self.events_skipped,
+            "stream_started": self._stream_started,
+        }
+
+    # -- introspection (the read-only client interface) --------------------
+
+    def map_view(self, name: str) -> Mapping:
+        """Read-only view of one internal map, for ad-hoc client queries."""
+        return MappingProxyType(self._current_maps()[name])
+
+    def map_sizes(self, include_indexes: bool = False) -> dict[str, int]:
+        """Entries per map; with ``include_indexes`` each map's count also
+        covers its secondary-index entries (the real memory footprint)."""
+        sizes = {
+            name: len(contents)
+            for name, contents in self._current_maps().items()
+        }
+        if include_indexes:
+            for name, entries in self.index_sizes().items():
+                sizes[name] = sizes.get(name, 0) + entries
+        return sizes
+
+    def total_entries(self, include_indexes: bool = False) -> int:
+        total = sum(len(contents) for contents in self._current_maps().values())
+        if include_indexes:
+            total += sum(self.index_sizes().values())
+        return total
+
+
+class DeltaEngine(_Ingest):
+    """A standing-query engine over a compiled delta program.
+
+    The engine owns one storage object per maintained map and dispatches
+    stream events to the trigger executor (generated Python functions in
+    ``mode="compiled"``, the IR tree-walker in ``mode="interpreted"``).
+    Typical embedded use::
+
+        engine = DeltaEngine(compile_sql(query, catalog))
+        engine.insert("bids", 1, 7, 100, 50)   # one event
+        engine.process_stream(events)           # a whole (batched) feed
+        engine.results()                        # current standing rows
+
+    Map storage follows the compiler's storage plan
+    (:func:`repro.compiler.storage.analyze_storage`): keyed maps with
+    proven value types live in packed
+    :class:`~repro.runtime.storage.ColumnarMap` columns, scalar maps in
+    plain dicts.  ``columnar=False`` forces dict storage for every map
+    (the storage ablation, the CLI's ``--no-columnar``); contents are
+    bit-identical either way.
+    """
+
+    def __init__(
+        self,
+        program: CompiledProgram,
+        mode: str = "compiled",
+        profiler=None,
+        strict: bool = False,
+        use_indexes: bool = True,
+        optimize: bool = True,
+        second_order: bool = True,
+        columnar: bool = True,
+    ) -> None:
+        """``strict=True`` raises on events for relations no standing query
+        reads; the default silently skips them (a feed usually carries more
+        streams than one query subscribes to).  ``use_indexes=False``
+        disables secondary-index generation in compiled mode (the
+        access-pattern ablation); ``optimize=False`` disables the IR
+        optimisation pipeline in both modes (the loop-optimisation
+        ablation, also the bench harness's ``--no-opt``);
+        ``second_order=False`` disables the delta-of-delta batch sink, so
+        self-reading triggers fall back to the per-row batch loop (the
+        higher-order batching ablation); ``columnar=False`` disables
+        packed columnar map storage, keeping every map a plain dict (the
+        storage ablation, also the CLI's ``--no-columnar``)."""
+        super().__init__(program, strict)
+        self.columnar = columnar
+        if columnar:
+            self.maps: dict[str, dict] = analyze_storage(program).create_maps()
+        else:
+            self.maps = {name: {} for name in program.maps}
+        self.profiler = profiler
+        self.events_processed = 0
+        self.use_indexes = use_indexes
+        self.optimize = optimize
+        self.second_order = second_order
+        if mode == "compiled":
+            from repro.codegen.pygen import CompiledExecutor
+
+            self._executor = CompiledExecutor(
+                program,
+                self.maps,
+                use_indexes=use_indexes,
+                optimize=optimize,
+                second_order=second_order,
+                columnar=columnar,
+            )
+        elif mode == "native":
+            from repro.codegen.native import NativeExecutor
+
+            self._executor = NativeExecutor(
+                program,
+                self.maps,
+                use_indexes=use_indexes,
+                optimize=optimize,
+                second_order=second_order,
+                columnar=columnar,
+            )
+        elif mode == "interpreted":
+            self._executor = InterpretedExecutor(
+                program, optimize=optimize, second_order=second_order
+            )
+        else:
+            raise EventError(f"unknown engine mode {mode!r}")
+        self.mode = mode
+
+    def __deepcopy__(self, memo: dict) -> "DeltaEngine":
+        """Snapshot support (used by the benchmark harness).
+
+        The compiled executor binds map dictionaries as function defaults,
+        so a naive deepcopy would leave the copied engine's triggers writing
+        to the *original* maps; instead the copy rebinds a fresh executor
+        over copied maps (the immutable program is shared).
+        """
+        clone = DeltaEngine(
+            self.program,
+            mode=self.mode,
+            profiler=None,
+            strict=self.strict,
+            use_indexes=self.use_indexes,
+            optimize=self.optimize,
+            second_order=self.second_order,
+            columnar=self.columnar,
+        )
+        clone.maps.update(
+            {
+                # dict.copy / ColumnarMap.copy both preserve the storage
+                # layout and insertion order of the snapshot.
+                name: contents.copy()
+                for name, contents in self.maps.items()
+            }
+        )
+        if self.mode != "interpreted":
+            clone._executor.bind(clone.maps)
+        clone.events_processed = self.events_processed
+        clone.events_skipped = self.events_skipped
+        clone._stream_started = self._stream_started
+        memo[id(self)] = clone
+        return clone
+
+    # -- event processing -------------------------------------------------
+
+    def _process_batch(self, batch: EventBatch) -> int:
+        """Dispatch one batch: per-event trigger for a degenerate one-row
+        run (no loop setup, no transpose, and a second-order flush would
+        restate whole maps for one row's change), the columnar ``*_batch``
+        trigger otherwise.
+
+        This is the engine's hottest dispatch path on interleaved feeds
+        (runs average a handful of rows), so a stream relation's trigger —
+        always admitted — is looked up inline; static tables, unknown
+        relations and disabled deletions go through :meth:`_admit`.
+        """
+        count = batch._length
+        if not count:
+            return 0
+        relation, sign = batch.relation, batch.sign
+        trigger = self._stream_triggers.get((relation, sign))
+        if trigger is None:
+            trigger = self._admit(relation, sign, count)
+            if trigger is None:
+                return 0  # skipped, or deletions disabled / no statements
+        else:
+            self._stream_started = True
+        if count == 1:
+            self._executor.execute(trigger, batch.row(0), self.maps, self.profiler)
+        else:
+            self._executor.execute_batch(
+                trigger, batch.columns, self.maps, self.profiler
+            )
+        self.events_processed += count
+        if self.profiler is not None:
+            self.profiler.record_batch(relation, sign, count)
+        if self._batch_listeners:
+            self._notify_listeners(batch)
+        return count
+
+    def sync(self) -> None:
+        """Barrier for API parity with :class:`ShardedEngine`: an
+        in-process engine has applied every batch on return."""
+
+    def close(self) -> None:
+        """Nothing to release: the maps live in this process."""
+
     # -- durability ---------------------------------------------------------
 
     def restore_state(
@@ -518,32 +619,8 @@ class DeltaEngine:
         engine, _ = recover_engine(program, directory, **kwargs)
         return engine
 
-    # -- results ------------------------------------------------------------
-
-    def results(self, query_name: Optional[str] = None) -> list[tuple]:
-        """Current rows of a standing query."""
-        return query_results(self.program, self.maps, query_name)
-
-    def results_dict(self, query_name: Optional[str] = None) -> list[dict]:
-        query = self._query(query_name)
-        return result_rows_to_dicts(query, self.results(query.name))
-
-    def result_scalar(self, query_name: Optional[str] = None):
-        """The single value of a scalar (non-grouped, single-item) query."""
-        rows = self.results(query_name)
-        if len(rows) != 1 or len(rows[0]) != 1:
-            raise EventError("result_scalar requires a scalar single-item query")
-        return rows[0][0]
-
-    def _query(self, query_name: Optional[str]):
-        if query_name is None:
-            if len(self.program.queries) != 1:
-                raise EventError("query_name required with multiple queries")
-            return self.program.queries[0]
-        for query in self.program.queries:
-            if query.name == query_name:
-                return query
-        raise EventError(f"unknown query {query_name!r}")
+    def _current_maps(self) -> dict[str, dict]:
+        return self.maps
 
     # -- introspection (the read-only client interface) --------------------
 
@@ -559,10 +636,6 @@ class DeltaEngine:
         fallback reason); ``None`` outside ``mode="native"``."""
         return getattr(self._executor, "native_note", None)
 
-    def map_view(self, name: str) -> Mapping:
-        """Read-only view of one internal map, for ad-hoc client queries."""
-        return MappingProxyType(self.maps[name])
-
     def index_sizes(self) -> dict[str, int]:
         """Secondary-index entries currently held, per indexed map.
 
@@ -572,21 +645,6 @@ class DeltaEngine:
         """
         counter = getattr(self._executor, "index_entry_counts", None)
         return counter() if counter is not None else {}
-
-    def map_sizes(self, include_indexes: bool = False) -> dict[str, int]:
-        """Entries per map; with ``include_indexes`` each map's count also
-        covers its secondary-index entries (the real memory footprint)."""
-        sizes = {name: len(contents) for name, contents in self.maps.items()}
-        if include_indexes:
-            for name, entries in self.index_sizes().items():
-                sizes[name] += entries
-        return sizes
-
-    def total_entries(self, include_indexes: bool = False) -> int:
-        total = sum(len(contents) for contents in self.maps.values())
-        if include_indexes:
-            total += sum(self.index_sizes().values())
-        return total
 
 
 # ---------------------------------------------------------------------------
@@ -1129,7 +1187,7 @@ def _merge_lane_maps(
     return merged
 
 
-class ShardedEngine:
+class ShardedEngine(_Ingest):
     """N-way sharded parallel execution of a compiled delta program.
 
     Batches are hash-routed by each relation's partition column (from
@@ -1181,24 +1239,16 @@ class ShardedEngine:
         without forked workers."""
         if shards < 1:
             raise EventError(f"shard count must be >= 1, got {shards!r}")
-        self.program = program
+        # The flush-path tap fires once per routed batch (post-routing:
+        # listeners that read state go through the synchronising reads).
+        super().__init__(program, strict)
         self.spec = spec if spec is not None else analyze_partitioning(program)
         self.shards = shards
         self.mode = mode
-        self.strict = strict
         self.use_indexes = use_indexes
         self.optimize = optimize
         self.second_order = second_order
         self.columnar = columnar
-        self.events_skipped = 0
-        self._relations = {rel for rel, _ in program.triggers}
-        self._stream_started = False
-        # Flush-path tap, mirroring DeltaEngine: listeners fire once per
-        # routed batch (post-routing — reads through the tap synchronise
-        # with the workers themselves).
-        self._batch_listeners: list = []
-        self._tap_clock = 0
-        self.lsn_source: Optional[callable] = None
         self._serial = DeltaEngine(
             program, mode=mode, strict=False, use_indexes=use_indexes,
             optimize=optimize, second_order=second_order, columnar=columnar,
@@ -1268,28 +1318,6 @@ class ShardedEngine:
 
     # -- event processing -------------------------------------------------
 
-    def process(self, event: StreamEvent) -> None:
-        """Apply one insert/delete event (routed like a one-row batch)."""
-        self.process_batch(event.relation, event.sign, [event.values])
-
-    def process_batch(
-        self, relation: str, sign: int, rows: Sequence[Sequence]
-    ) -> int:
-        """Route one same-``(relation, sign)`` run to its lane(s)."""
-        rows = rows if isinstance(rows, list) else list(rows)
-        if not rows:
-            return 0
-        return self._process_batch(EventBatch(relation, sign, rows))
-
-    def process_batch_columns(
-        self, relation: str, sign: int, columns: Sequence[Sequence]
-    ) -> int:
-        """Route one columnar batch to its lane(s) (see
-        :meth:`DeltaEngine.process_batch_columns`)."""
-        return self._process_batch(
-            EventBatch.from_columns(relation, sign, columns)
-        )
-
     def _process_batch(self, batch: EventBatch) -> int:
         """Route one batch.
 
@@ -1305,25 +1333,7 @@ class ShardedEngine:
         if not count:
             return 0
         relation, sign = batch.relation, batch.sign
-        if relation in self.program.static_relations:
-            if self._stream_started:
-                raise EventError(
-                    f"static table {relation!r} cannot change after "
-                    "stream processing has started; declare it as a STREAM "
-                    "if it receives online updates"
-                )
-            if sign != 1:
-                raise EventError(
-                    f"static table {relation!r} only supports bulk-load "
-                    "inserts"
-                )
-        elif relation in self._relations:
-            self._stream_started = True
-        if self.program.triggers.get((relation, sign)) is None:
-            if relation not in self._relations:
-                if self.strict:
-                    raise _unknown_relation_error(self.program, relation)
-                self.events_skipped += count
+        if self._admit(relation, sign, count) is None:
             return 0
         column = self.spec.column_for(relation)
         try:
@@ -1358,51 +1368,6 @@ class ShardedEngine:
         if self._batch_listeners:
             self._notify_listeners(batch)
         return count
-
-    def _notify_listeners(self, batch: EventBatch) -> None:
-        """Fire the flush-path tap for one routed batch (see
-        :meth:`DeltaEngine._notify_listeners`).  Routing to worker lanes is
-        fire-and-forget, so listeners that read state must go through the
-        synchronising reads (``results`` / ``merged_maps``)."""
-        self._tap_clock += 1
-        lsn = (
-            self.lsn_source()
-            if self.lsn_source is not None
-            else self._tap_clock
-        )
-        for listener in list(self._batch_listeners):
-            listener(lsn, batch)
-
-    def add_batch_listener(self, listener) -> None:
-        """Register a flush-path tap (see
-        :meth:`DeltaEngine.add_batch_listener`)."""
-        self._batch_listeners.append(listener)
-
-    def remove_batch_listener(self, listener) -> None:
-        self._batch_listeners.remove(listener)
-
-    def process_stream(
-        self, events: Iterable, batch_size: Optional[int] = DEFAULT_BATCH_SIZE
-    ) -> int:
-        """Batch, route and apply a whole stream (see
-        :meth:`DeltaEngine.process_stream` for the contract)."""
-        count = 0
-        for batch in batches(events, batch_size):
-            self._process_batch(batch)
-            count += len(batch)
-        return count
-
-    def insert(self, relation: str, *values) -> None:
-        self.process(StreamEvent(relation, 1, tuple(values)))
-
-    def delete(self, relation: str, *values) -> None:
-        self.process(StreamEvent(relation, -1, tuple(values)))
-
-    def load(self, relation: str, rows: Iterable[Sequence]) -> int:
-        """Bulk-load a (static) table through the sharded batch path."""
-        rows = [tuple(row) for row in rows]
-        self.process_batch(relation, 1, rows)
-        return len(rows)
 
     def sync(self) -> None:
         """Barrier: wait until every shard worker has drained its pipe.
@@ -1483,29 +1448,8 @@ class ShardedEngine:
         ]
         return _merge_lane_maps(self.program, lane_maps)
 
-    def results(self, query_name: Optional[str] = None) -> list[tuple]:
-        """Current rows of a standing query over the merged shard state."""
-        return query_results(self.program, self.merged_maps(), query_name)
-
-    def results_dict(self, query_name: Optional[str] = None) -> list[dict]:
-        query = self._query(query_name)
-        return result_rows_to_dicts(query, self.results(query.name))
-
-    def result_scalar(self, query_name: Optional[str] = None):
-        rows = self.results(query_name)
-        if len(rows) != 1 or len(rows[0]) != 1:
-            raise EventError("result_scalar requires a scalar single-item query")
-        return rows[0][0]
-
-    def _query(self, query_name: Optional[str]):
-        if query_name is None:
-            if len(self.program.queries) != 1:
-                raise EventError("query_name required with multiple queries")
-            return self.program.queries[0]
-        for query in self.program.queries:
-            if query.name == query_name:
-                return query
-        raise EventError(f"unknown query {query_name!r}")
+    def _current_maps(self) -> dict[str, dict]:
+        return self.merged_maps()
 
     # -- introspection ------------------------------------------------------
 
@@ -1518,10 +1462,6 @@ class ShardedEngine:
     @property
     def native_note(self) -> Optional[str]:
         return self._serial.native_note
-
-    def map_view(self, name: str) -> Mapping:
-        """Read-only merged view of one map, for ad-hoc client queries."""
-        return MappingProxyType(self.merged_maps()[name])
 
     def index_sizes(self) -> dict[str, int]:
         """Secondary-index entries summed across every lane.
@@ -1538,22 +1478,6 @@ class ShardedEngine:
             for name, entries in lane.index_sizes().items():
                 totals[name] = totals.get(name, 0) + entries
         return totals
-
-    def map_sizes(self, include_indexes: bool = False) -> dict[str, int]:
-        sizes = {
-            name: len(contents)
-            for name, contents in self.merged_maps().items()
-        }
-        if include_indexes:
-            for name, entries in self.index_sizes().items():
-                sizes[name] = sizes.get(name, 0) + entries
-        return sizes
-
-    def total_entries(self, include_indexes: bool = False) -> int:
-        total = sum(len(contents) for contents in self.merged_maps().values())
-        if include_indexes:
-            total += sum(self.index_sizes().values())
-        return total
 
     # -- lifecycle ----------------------------------------------------------
 

@@ -889,63 +889,54 @@ class ViewServer:
     ) -> Optional[list[dict]]:
         """Rebuild the delta suffix past ``from_lsn`` from durable state.
 
-        Loads the newest snapshot at or below ``from_lsn`` into a
-        *shadow* engine, replays the WAL suffix through it, and taps the
-        replay from the ``from_lsn`` boundary onward — the same
-        LSN-stamped deltas the live tap emitted, recomputed from disk.
-        Returns ``None`` when the engine is not durable or the WAL no
-        longer reaches back to ``from_lsn``.
+        Rebuilds a *shadow* engine from the newest snapshot at or below
+        ``from_lsn`` plus the WAL suffix, and taps the replay from the
+        ``from_lsn`` boundary onward — the same LSN-stamped deltas the
+        live tap emitted, recomputed from disk.  Returns ``None`` when the
+        engine is not durable or the log holds no state at exactly
+        ``from_lsn`` (truncated past it, or a gap across it).
         """
-        from repro.runtime.durability import DurableEngine, WriteAheadLog
+        from repro.runtime.durability import DurableEngine, rebuild_engine
         from repro.runtime.engine import DeltaEngine
-        from repro.runtime.events import EventBatch
 
         engine = self.engine
         if not isinstance(engine, DurableEngine):
             return None
-        engine._wal.sync()
-        snapshot = engine._snapshots.load_latest(max_lsn=from_lsn)
-        watermark = 0
         # Any engine flavour replays to the same results; a plain
         # non-strict DeltaEngine is the cheapest shadow.
         shadow = DeltaEngine(engine.program, strict=False)
-        if snapshot is not None:
-            shadow.restore_state(
-                snapshot["maps"],
-                events_processed=snapshot.get("events_processed", 0),
-                events_skipped=snapshot.get("events_skipped", 0),
-                stream_started=snapshot.get("stream_started"),
-            )
-            watermark = snapshot["lsn"]
         tap: Optional[ViewDeltaTap] = None
         frames: list[dict] = []
         ts = time.time()
-        try:
-            for lsn, relation, sign, columns in WriteAheadLog.replay(
-                engine.directory, after_lsn=watermark
-            ):
-                if tap is None and lsn > from_lsn:
-                    # Construct the tap at the resume boundary so its
-                    # cached baseline is the state as of from_lsn.
+
+        def collect(lsn: int, batch) -> None:
+            nonlocal tap
+            if tap is None:
+                if lsn > from_lsn:
+                    raise ResumeGapError(from_lsn, lsn)
+                if lsn == from_lsn:
+                    # The state as of from_lsn is the tap's baseline.
                     tap = ViewDeltaTap(shadow, [view])
-                batch = EventBatch.from_columns(relation, sign, columns)
-                shadow._process_batch(batch)
-                if tap is not None:
-                    changes = tap.on_batch(lsn, batch).get(view)
-                    if changes:
-                        frames.append(
-                            {
-                                "type": "delta",
-                                "view": view,
-                                "lsn": lsn,
-                                "ts": ts,
-                                "replayed": True,
-                                "changes": [
-                                    [list(row), weight]
-                                    for row, weight in changes
-                                ],
-                            }
-                        )
+                return
+            changes = tap.on_batch(lsn, batch).get(view)
+            if changes:
+                frames.append(
+                    {
+                        "type": "delta",
+                        "view": view,
+                        "lsn": lsn,
+                        "ts": ts,
+                        "replayed": True,
+                        "changes": [
+                            [list(row), weight] for row, weight in changes
+                        ],
+                    }
+                )
+
+        try:
+            rebuild_engine(
+                shadow, engine.directory, max_lsn=from_lsn, on_batch=collect
+            )
         except ResumeGapError:
             return None
         return frames

@@ -202,8 +202,7 @@ def cmd_run(args) -> int:
         chunk = list(itertools.islice(source, chunk_size)) if chunk_size else None
         consumed = engine.process_stream(chunk if chunk is not None else source)
         count += consumed
-        if isinstance(engine, (ShardedEngine, DurableEngine)):
-            engine.sync()
+        engine.sync()
         if chunk_size and consumed:
             print(f"-- after {count} events --")
             for row in engine.results("q"):
@@ -270,9 +269,7 @@ def cmd_serve(args) -> int:
     if isinstance(engine, DurableEngine):
         engine.snapshot()
         print(f"-- durable state at LSN {engine.lsn} in {engine.directory} --")
-        engine.close()
-    elif isinstance(engine, ShardedEngine):
-        engine.close()
+    engine.close()
     return 0
 
 
@@ -313,8 +310,7 @@ def cmd_bench(args) -> int:
         count = engine.process_stream(
             OrderBookGenerator(seed=1).events(args.events), **_batch_kwargs(args)
         )
-        if isinstance(engine, ShardedEngine):
-            engine.sync()
+        engine.sync()
         elapsed = time.perf_counter() - start
     elif args.workload == "warehouse":
         from repro.workloads.ssb import (
@@ -334,8 +330,7 @@ def cmd_bench(args) -> int:
         count = engine.process_stream(
             warehouse_stream(generator), **_batch_kwargs(args)
         )
-        if isinstance(engine, ShardedEngine):
-            engine.sync()
+        engine.sync()
         elapsed = time.perf_counter() - start
     else:
         raise SystemExit(f"unknown workload {args.workload!r}")

@@ -13,10 +13,11 @@ Two halves:
 
 * **In-process crash emulation** — the hypothesis suite in
   ``test_fault_injection.py`` needs hundreds of crash/recover cycles, so
-  it swaps the SIGKILL action for an exception + ``abandon()`` (drop all
-  buffered state, close raw fds without flushing).  The WAL writes through
-  unbuffered ``os.write``, so the bytes on disk after ``abandon()`` are
-  exactly the bytes after a SIGKILL at the same point.
+  it swaps the SIGKILL action for an exception + ``abandon()`` (drop the
+  in-memory state, close raw fds without the closing fsync).  The WAL
+  writes each frame through unbuffered ``os.write`` at append, so the
+  bytes on disk after ``abandon()`` are exactly the bytes after a SIGKILL
+  at the same point.
 
 The parity oracle (:func:`reference_state`): LSNs are assigned 1:1 to the
 batches :func:`~repro.runtime.events.batches` yields, so the state
@@ -26,7 +27,8 @@ counters.
 
 Run ``python tests/runtime/fault_injection.py smoke`` (with ``PYTHONPATH=
 src``) for the CI crash-recovery smoke: a fixed-seed finance stream,
-SIGKILL mid-stream at several probe points, recover, assert parity.
+SIGKILL mid-stream at several probe points, recover, assert parity; then
+:func:`check_acked_batches_survive` under the default fsync policy.
 """
 
 from __future__ import annotations
@@ -191,6 +193,42 @@ def run_to_crash(
     return result.returncode
 
 
+def check_acked_batches_survive(
+    directory: str | Path,
+    acked: int = 100,
+    workload: str = "finance",
+    n_events: int = 200,
+    seed: int = 2009,
+) -> int:
+    """SIGKILL a child under the default ``fsync="batch"`` right after its
+    ``acked``-th one-row batch is applied: recovery must return every one
+    of them (LSN ``acked``, reference parity), and the reopened log must
+    give the next batch LSN ``acked + 1``.  Returns the recovered LSN;
+    raises AssertionError on a lost batch or a re-issued LSN.
+    """
+    import signal
+
+    from repro.runtime.durability import recover_engine
+
+    code = run_to_crash(
+        directory, "engine.after_apply", acked, workload=workload,
+        n_events=n_events, seed=seed, batch_size=1, fsync="batch",
+    )
+    assert code == -signal.SIGKILL, f"child exited {code}, expected SIGKILL"
+    program = build_program(workload)
+    engine, lsn = recover_engine(program, directory)
+    assert lsn == acked, f"recovered LSN {lsn} after {acked} acknowledged batches"
+    assert_recovery_parity(engine, lsn, workload, n_events, seed, 1)
+    following = list(batches(stream_events(workload, n_events, seed), 1))[acked]
+    with DurableEngine(program, directory) as reopened:
+        assert reopened.lsn == acked
+        reopened.process_batch(following.relation, following.sign, following.rows)
+        assert reopened.lsn == acked + 1, (
+            f"the batch after a recovered LSN {acked} got LSN {reopened.lsn}"
+        )
+    return lsn
+
+
 def _child_main(args) -> int:
     probe = CrashPoint(args.label, hits=args.hits)  # SIGKILL on hit
     engine = DurableEngine(
@@ -258,10 +296,19 @@ def _smoke_main() -> int:
                 f"ok   {label:<24} fsync={fsync:<6} "
                 f"recovered LSN {lsn} ({frames} frames on disk)"
             )
+    with tempfile.TemporaryDirectory() as directory:
+        try:
+            lsn = check_acked_batches_survive(directory)
+        except AssertionError as exc:
+            print(f"FAIL acknowledged batches under fsync=batch: {exc}")
+            failures += 1
+        else:
+            print(f"ok   {'acked one-row batches':<24} fsync=batch  "
+                  f"recovered LSN {lsn}, next batch LSN {lsn + 1}")
     if failures:
         print(f"{failures} crash-recovery scenario(s) FAILED")
         return 1
-    print(f"all {len(_SMOKE_SCENARIOS)} crash-recovery scenarios recovered "
+    print(f"all {len(_SMOKE_SCENARIOS) + 1} crash-recovery scenarios recovered "
           "to reference state")
     return 0
 

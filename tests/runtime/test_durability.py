@@ -200,13 +200,37 @@ def test_wal_ensure_lsn_leaves_forward_gap(tmp_path):
     assert lsns == [1, 2, 11]  # gap-tolerant, strictly increasing
 
 
-def test_wal_abandon_drops_buffered_frames(tmp_path):
+def test_wal_abandon_keeps_appended_frames(tmp_path):
     wal = WriteAheadLog(tmp_path, fsync="batch")
     _append_n(wal, 3)
     wal.sync()
-    _append_n(wal, 2, start=3)  # buffered, never synced
+    _append_n(wal, 2, start=3)  # written at append, never fsynced
     wal.abandon()
-    assert [lsn for lsn, *_ in WriteAheadLog.replay(tmp_path)] == [1, 2, 3]
+    assert [lsn for lsn, *_ in WriteAheadLog.replay(tmp_path)] == [1, 2, 3, 4, 5]
+
+
+def test_acknowledged_batches_survive_abandon_under_default_fsync(tmp_path):
+    """An appended frame is in the kernel when the append returns, so a
+    process crash (``abandon()`` leaves the files as SIGKILL would) loses
+    no acknowledged batch and the reopened log never re-issues an LSN."""
+    program = _program()
+    engine = DurableEngine(program, tmp_path)
+    for i in range(100):
+        engine.insert("R", i % 7, i)
+    assert engine.lsn == 100
+    engine.abandon()
+    with DurableEngine(program, tmp_path) as reopened:
+        assert reopened.lsn == 100
+        assert reopened.events_processed == 100
+        reopened.insert("R", 1, 1)
+        assert reopened.lsn == 101
+    reference = DeltaEngine(program)
+    for i in range(100):
+        reference.insert("R", i % 7, i)
+    reference.insert("R", 1, 1)
+    recovered, lsn = recover_engine(program, tmp_path)
+    assert lsn == 101
+    assert recovered.results("q") == reference.results("q")
 
 
 def test_wal_rejects_unknown_policy_and_closed_appends(tmp_path):

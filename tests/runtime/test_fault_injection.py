@@ -35,8 +35,8 @@ from fault_injection import (  # noqa: E402
     CRASH_LABELS,
     assert_recovery_parity,
     build_program,
+    check_acked_batches_survive,
     run_to_crash,
-    stream_events,
 )
 
 from repro.compiler import compile_sql  # noqa: E402
@@ -94,8 +94,6 @@ def _run_until_crash(directory, stream, batch_size, label, hits, fsync,
     )
     try:
         engine.process_stream(stream, batch_size=batch_size)
-        # Buffered policies flush at close, so the crash can fire there
-        # too — that is still a mid-flush SIGKILL, not a clean shutdown.
         engine.close()
     except _InjectedCrash:
         engine.abandon()
@@ -236,6 +234,12 @@ def test_sigkill_child_recovers_to_reference(
     assert_recovery_parity(
         engine, lsn, workload, n_events, seed, batch_size, columnar=columnar
     )
+
+
+def test_sigkill_child_keeps_acked_batches_under_default_fsync(tmp_path):
+    """A real SIGKILL after 100 acknowledged one-row batches under the
+    default ``fsync="batch"`` loses none of them and re-issues no LSN."""
+    assert check_acked_batches_survive(tmp_path, acked=100) == 100
 
 
 def test_sigkill_warehouse_child_recovers(tmp_path):
